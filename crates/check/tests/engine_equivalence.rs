@@ -9,9 +9,10 @@ use tlr_check::fuzz::arbitrary_config;
 use tlr_check::oracle::OracleWorkload;
 use tlr_check::{prop, Source};
 use tlr_core::run::{build_machine, WorkloadSpec};
-use tlr_sim::config::{MachineConfig, Scheme};
+use tlr_sim::config::{Interconnect, MachineConfig, PolicyKind, Scheme};
 use tlr_sim::fault::FaultConfig;
 use tlr_sim::pool::Pool;
+use tlr_sim::prof::{ProfConfig, WakeSource};
 use tlr_workloads::{apps, micro};
 
 /// One differential case: a fuzzed configuration (geometry, latencies,
@@ -111,4 +112,81 @@ fn event_engine_matches_oracle_on_binary_workloads() {
             .unwrap_or_else(|e| panic!("{name}/{scheme}: {e}"));
         }
     }
+}
+
+#[test]
+fn event_engine_stops_at_the_halt_that_quiesces_the_machine() {
+    // Regression: when the last core's `halt` ran in a full step, the
+    // burst that followed ticked one more cycle and charged it to the
+    // run. These seeds hit that overshoot at the benchmark's
+    // conflict16-tlr oracle size.
+    let cells: [(Box<dyn WorkloadSpec>, Scheme, u64); 2] = [
+        (Box::new(micro::single_counter(16, 512)), Scheme::Tlr, 105),
+        (
+            Box::new(micro::doubly_linked_list(16, 256)),
+            Scheme::Sle,
+            37,
+        ),
+    ];
+    for (w, scheme, seed) in &cells {
+        let cfg = MachineConfig::builder()
+            .scheme(*scheme)
+            .procs(16)
+            .seed(*seed)
+            .build();
+        check_engines(|engine| {
+            let mut c = cfg.clone();
+            c.engine = engine;
+            build_machine(&c, w.as_ref())
+        })
+        .unwrap_or_else(|e| panic!("{}/{scheme} seed {seed}: {e}", w.name()));
+    }
+}
+
+/// Runs `w` on the directory under both engines and returns the event
+/// run's wake histogram, so a cell can prove which wake sources it
+/// exercised.
+fn check_directory_cell(w: &dyn WorkloadSpec, cfg: &MachineConfig) -> [u64; WakeSource::COUNT] {
+    let label = format!("{} x{} {:?}", w.name(), cfg.num_procs, cfg.policy);
+    check_engines(|engine| {
+        let mut c = cfg.clone();
+        c.engine = engine;
+        build_machine(&c, w)
+    })
+    .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let mut c = cfg.clone();
+    c.profile = ProfConfig::on();
+    let mut m = build_machine(&c, w);
+    m.run().unwrap_or_else(|e| panic!("{label}: {e}"));
+    m.take_profile().expect("profiling was enabled").engine.wake
+}
+
+#[test]
+fn event_engine_matches_oracle_on_wide_directory_machines() {
+    // 96 and 160 processors: the engine's active, woken and target
+    // sets span two and three bitset words, the last one partial.
+    let wakes = |hist: &[u64; WakeSource::COUNT], src: WakeSource| {
+        hist[WakeSource::ALL.iter().position(|&s| s == src).unwrap()]
+    };
+    let dir = |procs| {
+        MachineConfig::builder()
+            .scheme(Scheme::Tlr)
+            .procs(procs)
+            .interconnect(Interconnect::Directory)
+            .seed(0x160)
+    };
+    // The backoff policy forces NACK retention, so refused requesters
+    // sleep on retry timers that only the wake calendar can fire.
+    let cfg = dir(96).policy(PolicyKind::Backoff).build();
+    let hist = check_directory_cell(&micro::single_counter(96, 384), &cfg);
+    assert!(
+        wakes(&hist, WakeSource::RetryTimer) > 0,
+        "x96 backoff never woke on a retry timer"
+    );
+    let cfg = dir(160).build();
+    let hist = check_directory_cell(&micro::multiple_counter(160, 160), &cfg);
+    assert!(
+        wakes(&hist, WakeSource::Directory) > 0,
+        "x160 never woke on the directory"
+    );
 }

@@ -22,7 +22,8 @@
 //! deterministic for a given configuration and seed and produce
 //! byte-identical statistics and traces (see `DESIGN.md` §12).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use tlr_cpu::{AccessKind, Core, CoreStep, MemAccess, Op, Program};
@@ -32,7 +33,7 @@ use tlr_mem::mshr::{Intervention, MshrEntry};
 use tlr_mem::msg::{BusReqKind, BusRequest, DataGrant, NetMsg};
 use tlr_mem::protocol;
 use tlr_mem::timestamp::{Prio, Timestamp};
-use tlr_mem::{Bus, Directory, MemorySystem, Network};
+use tlr_mem::{Bus, Directory, MemorySystem, Network, NodeSet};
 use tlr_sim::config::{Engine, Interconnect, MachineConfig, UntimestampedPolicy};
 use tlr_sim::fault::FaultPlan;
 use tlr_sim::prof::{Gauges, Profiler, WakeSource};
@@ -188,6 +189,26 @@ enum NodeSched {
     },
 }
 
+/// The per-node timer a wake-calendar entry stands for. Declaration
+/// order is the tie rule within one node: when both timers fall on the
+/// same cycle, the wake is attributed to the idle timer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Timer {
+    /// The `Idle` class's own deadline (restart penalty, I/O).
+    Idle,
+    /// The node's earliest NACK retry.
+    Retry,
+}
+
+impl Timer {
+    fn source(self) -> WakeSource {
+        match self {
+            Timer::Idle => WakeSource::IdleTimer,
+            Timer::Retry => WakeSource::RetryTimer,
+        }
+    }
+}
+
 /// Per-iteration facts about a detected spin loop, captured when the
 /// node enters [`NodeSched::Spin`]. See [`Machine::detect_spin`] for
 /// the proof obligations.
@@ -265,10 +286,21 @@ pub struct Machine {
     snoops: VecDeque<SnoopEvent>,
     /// Event-engine schedule state per node. Stays all-`Active` under
     /// the cycle-stepped engine (and for externally stepped machines),
-    /// which makes the lazy settling a no-op there.
+    /// which makes the lazy settling a no-op there. Written only by
+    /// [`Machine::set_sched`], which keeps `active`, `due` and
+    /// `calendar` in step with it.
     sched: Vec<NodeSched>,
+    /// The nodes whose `sched` is `Active`.
+    active: NodeSet,
+    /// Each node's pending calendar wake: `Some` only for an `Idle`
+    /// node with a timer or a NACK retry to wait for.
+    due: Vec<Option<(Cycle, Timer)>>,
+    /// The wake calendar: idle-timer and NACK-retry wakes, earliest
+    /// first, lower node id first on a tie. Entries are invalidated
+    /// lazily — one is live iff `due[node]` still equals it.
+    calendar: BinaryHeap<Reverse<(Cycle, NodeId, Timer)>>,
     /// Scratch: which nodes run in the current event step.
-    woken: Vec<bool>,
+    woken: NodeSet,
     /// Scratch: this cycle's network deliveries (capacity reuse).
     net_scratch: Vec<NetMsg>,
     /// Scratch: this cycle's directory-ordered requests (capacity
@@ -276,9 +308,9 @@ pub struct Machine {
     dir_scratch: Vec<BusRequest>,
     /// Scratch: burst mode's active-node set (capacity reuse).
     burst_scratch: Vec<usize>,
-    /// Scratch: per-node involvement flags for the snoop being
-    /// processed (capacity reuse).
-    snoop_touch: Vec<bool>,
+    /// Scratch: the nodes the snoop being processed involves, in
+    /// ascending order (capacity reuse).
+    snoop_touch: Vec<NodeId>,
     /// Event-engine work counters (steps taken, node ticks run) for
     /// performance diagnostics. Not part of [`MachineStats`].
     engine_steps: u64,
@@ -332,6 +364,11 @@ impl Machine {
             let banks = if cfg.dir_banks == 0 { cfg.num_procs } else { cfg.dir_banks };
             Directory::new(cfg.num_procs, banks, cfg.latency.bus_occupancy, cfg.req_network)
         });
+        // Every node starts `Active`.
+        let mut active = NodeSet::new(cfg.num_procs);
+        for i in 0..cfg.num_procs {
+            active.insert(i);
+        }
         let stats_dir_banks = dir.as_ref().map_or(0, |d| d.banks());
         stats.dir.banks = stats_dir_banks as u64;
         let mut net = Network::new();
@@ -372,8 +409,11 @@ impl Machine {
             cycle: 0,
             fault: cfg.faults.plan(),
             sched: vec![NodeSched::Active; cfg.num_procs],
+            active,
+            due: vec![None; cfg.num_procs],
+            calendar: BinaryHeap::new(),
             snoops: VecDeque::new(),
-            woken: vec![false; cfg.num_procs],
+            woken: NodeSet::new(cfg.num_procs),
             net_scratch: Vec::new(),
             dir_scratch: Vec::new(),
             burst_scratch: Vec::new(),
@@ -518,19 +558,6 @@ impl Machine {
         }
         self.settle_idle_charges();
         self.finalize_stats();
-        if std::env::var_os("TLR_ENGINE_DEBUG").is_some() {
-            let n = self.nodes.len() as u64;
-            eprintln!(
-                "[engine] cycles={} steps={} live_ticks={} (full-tick equivalent {}; \
-                 step ratio {:.3}, tick ratio {:.3})",
-                self.cycle,
-                self.engine_steps,
-                self.engine_live_ticks,
-                self.cycle * n,
-                self.engine_steps as f64 / self.cycle.max(1) as f64,
-                self.engine_live_ticks as f64 / (self.cycle * n).max(1) as f64,
-            );
-        }
         Ok(())
     }
 
@@ -574,6 +601,13 @@ impl Machine {
     /// classify out of `Active` fold their fresh timers into the
     /// horizon and drop from the set; nodes can only *join* the active
     /// set through a wake, which ends the burst.
+    ///
+    /// A core finishing may complete quiescence, and the driver loop
+    /// checks that between advances, so the burst yields right after
+    /// the cycle in which any core halts. A halt in the full step just
+    /// run is checked before the first burst cycle: the halted node is
+    /// still `Active` (its next tick records `done_at`), and if the
+    /// halt quiesced the machine, the stepped engine stops here.
     fn burst_within(&mut self, bound: Cycle) {
         // Cheap bail-outs first: this runs after every step, and in
         // bus- or network-saturated phases the next cycle always has
@@ -592,10 +626,11 @@ impl Machine {
         }
         let mut active = std::mem::take(&mut self.burst_scratch);
         active.clear();
-        active.extend(
-            (0..self.nodes.len()).filter(|&i| matches!(self.sched[i], NodeSched::Active)),
-        );
-        if active.is_empty() {
+        active.extend(self.active.iter());
+        let halted = |n: &Node| n.core.is_done() && n.done_at.is_none();
+        if active.is_empty()
+            || (active.iter().any(|&i| halted(&self.nodes[i])) && self.is_quiesced())
+        {
             self.burst_scratch = active;
             return;
         }
@@ -607,17 +642,8 @@ impl Machine {
         if let Some(ev) = self.snoops.front() {
             horizon = horizon.min(ev.due);
         }
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let NodeSched::Idle { timer, .. } = self.sched[i] {
-                if let Some(t) = timer {
-                    horizon = horizon.min(t);
-                }
-                if !n.core.is_done() && !n.paused {
-                    if let Some(t) = n.nack_retries.next_due() {
-                        horizon = horizon.min(t);
-                    }
-                }
-            }
+        if let Some((t, ..)) = self.calendar_next() {
+            horizon = horizon.min(t);
         }
         loop {
             let mut h = horizon;
@@ -638,16 +664,12 @@ impl Machine {
             }
             self.cycle = next;
             self.engine_steps += 1;
-            // A core finishing may complete quiescence; the driver
-            // loop checks that between advances, so the burst must
-            // yield before running any further cycle.
             self.engine_live_ticks += active.len() as u64;
             let finished = self.with_ctx(|nodes, ctx| {
                 let mut finished = false;
                 for &i in &active {
                     tick_node(&mut nodes[i], ctx);
-                    let n = &nodes[i];
-                    finished |= n.core.is_done() && n.done_at.is_none();
+                    finished |= halted(&nodes[i]);
                 }
                 finished
             });
@@ -660,16 +682,10 @@ impl Machine {
                         w += 1;
                     }
                     s => {
-                        if let NodeSched::Idle { timer: Some(t), .. } = s {
+                        self.set_sched(i, s);
+                        if let Some((t, _)) = self.due[i] {
                             horizon = horizon.min(t);
                         }
-                        let n = &self.nodes[i];
-                        if !n.core.is_done() && !n.paused {
-                            if let Some(t) = n.nack_retries.next_due() {
-                                horizon = horizon.min(t);
-                            }
-                        }
-                        self.sched[i] = s;
                     }
                 }
             }
@@ -702,13 +718,14 @@ impl Machine {
     /// profiler's wake histogram — or `None` when no wake is scheduled
     /// (then the run is either quiesced or timed out). Ties keep the
     /// first source considered, so the attribution is deterministic.
-    fn next_event_cycle(&self) -> Option<(Cycle, WakeSource)> {
+    fn next_event_cycle(&mut self) -> Option<(Cycle, WakeSource)> {
         let floor = self.cycle + 1;
         // Any active node forces a step at the very next cycle; no
         // other source can schedule anything earlier.
-        if self.sched.iter().any(|s| matches!(s, NodeSched::Active)) {
+        if !self.active.is_empty() {
             return Some((floor, WakeSource::ActiveFloor));
         }
+        let timer = self.calendar_next();
         let mut next: Option<(Cycle, WakeSource)> = None;
         let mut consider = |c: Cycle, src: WakeSource| {
             let c = c.max(floor);
@@ -732,49 +749,81 @@ impl Machine {
         if let Some(ev) = self.snoops.front() {
             consider(ev.due, WakeSource::SnoopFront);
         }
-        for (i, n) in self.nodes.iter().enumerate() {
-            match self.sched[i] {
-                NodeSched::Active => consider(floor, WakeSource::ActiveFloor),
-                NodeSched::Idle { timer, .. } => {
-                    if let Some(t) = timer {
-                        consider(t, WakeSource::IdleTimer);
-                    }
-                    // NACK retries only fire inside a live node tick,
-                    // which done and paused nodes never reach — waking
-                    // them for a retry would spin to no effect.
-                    if !n.core.is_done() && !n.paused {
-                        if let Some(t) = n.nack_retries.next_due() {
-                            consider(t, WakeSource::RetryTimer);
-                        }
-                    }
-                }
-                // A spinner advances by pure arithmetic; only the
-                // change that ends the spin — always a snoop or a
-                // delivery — needs a scheduled step.
-                NodeSched::Spin { .. } => {}
-            }
+        // Idle nodes' timers, considered last so the fabric sources
+        // keep winning ties.
+        if let Some((t, _, kind)) = timer {
+            consider(t, kind.source());
         }
         next
     }
 
-    /// Whether node `i` must run a full tick at the current cycle
-    /// independent of cross-node wake events. Due snoops alone do
-    /// *not* make a node due: they are processed lazily in phase 3
-    /// and only promote the node if the snoop changed its class.
-    fn node_due(&self, i: usize) -> bool {
-        match self.sched[i] {
-            NodeSched::Active => true,
-            NodeSched::Idle { timer, .. } => {
-                let n = &self.nodes[i];
-                timer.is_some_and(|t| t <= self.cycle)
-                    || (!n.core.is_done()
-                        && !n.paused
-                        && n.nack_retries.next_due().is_some_and(|t| t <= self.cycle))
+    /// The earliest live wake-calendar entry, discarding stale entries
+    /// from the top of the heap on the way.
+    fn calendar_next(&mut self) -> Option<(Cycle, NodeId, Timer)> {
+        while let Some(&Reverse((t, i, kind))) = self.calendar.peek() {
+            if self.due[i] == Some((t, kind)) {
+                return Some((t, i, kind));
             }
-            // A spin loop only exits when the spun-on line changes,
-            // which always arrives as a snoop or delivery.
-            NodeSched::Spin { .. } => false,
+            self.calendar.pop();
         }
+        None
+    }
+
+    /// Adds to `woken` every node whose calendar wake is due at the
+    /// current cycle, taking its entry off the calendar. Due snoops
+    /// alone do *not* wake a node: they are processed lazily in phase
+    /// 3 and only promote the node if the snoop changed its class.
+    fn wake_due_timers(&mut self) {
+        while let Some((t, i, _)) = self.calendar_next() {
+            if t > self.cycle {
+                break;
+            }
+            self.calendar.pop();
+            self.woken.insert(i);
+        }
+    }
+
+    /// Stores node `i`'s schedule class — the only writer of `sched` —
+    /// and keeps the active set and the wake calendar in step with it.
+    /// An idle node's calendar wake is the earlier of its timer and its
+    /// first NACK retry. Retries only fire inside a live node tick,
+    /// which done and paused nodes never reach, so theirs are left out
+    /// (waking them for a retry would spin to no effect). A spinner
+    /// advances by pure arithmetic and has no wake of its own: only
+    /// the change that ends the spin — always a snoop or a delivery —
+    /// needs a step.
+    fn set_sched(&mut self, i: usize, s: NodeSched) {
+        let due = match s {
+            NodeSched::Active => {
+                self.active.insert(i);
+                None
+            }
+            NodeSched::Idle { timer, .. } => {
+                self.active.remove(i);
+                let n = &self.nodes[i];
+                let retry = if n.core.is_done() || n.paused {
+                    None
+                } else {
+                    n.nack_retries.next_due()
+                };
+                match (timer, retry) {
+                    (Some(t), Some(r)) if r < t => Some((r, Timer::Retry)),
+                    (Some(t), _) => Some((t, Timer::Idle)),
+                    (None, r) => r.map(|r| (r, Timer::Retry)),
+                }
+            }
+            NodeSched::Spin { .. } => {
+                self.active.remove(i);
+                None
+            }
+        };
+        if self.due[i] != due {
+            self.due[i] = due;
+            if let Some((t, kind)) = due {
+                self.calendar.push(Reverse((t, i, kind)));
+            }
+        }
+        self.sched[i] = s;
     }
 
     /// Settles node `i`'s cached idle charge (or fast-forwards its
@@ -783,7 +832,11 @@ impl Machine {
     fn settle_through(&mut self, i: usize, through: Cycle) {
         match self.sched[i] {
             NodeSched::Active => {}
-            NodeSched::Idle { since, charge, .. } => {
+            NodeSched::Idle {
+                since,
+                charge,
+                timer,
+            } => {
                 if through <= since {
                     return;
                 }
@@ -802,9 +855,12 @@ impl Machine {
                     IdleCharge::SbFull => ns.store_buffer_full_cycles += dt,
                     IdleCharge::CommitWait => ns.commit_wait_cycles += dt,
                 }
-                if let NodeSched::Idle { since, .. } = &mut self.sched[i] {
-                    *since = through;
-                }
+                let settled = NodeSched::Idle {
+                    since: through,
+                    charge,
+                    timer,
+                };
+                self.set_sched(i, settled);
             }
             NodeSched::Spin { since, info } => {
                 if through <= since {
@@ -843,10 +899,15 @@ impl Machine {
                 // Each skipped tick would have refreshed the committed
                 // instruction count.
                 ns.instructions = instructions;
-                if let NodeSched::Spin { since, info } = &mut self.sched[i] {
-                    *since = through;
-                    info.next_is_load = !ends_on_load;
-                }
+                let info = SpinInfo {
+                    next_is_load: !ends_on_load,
+                    ..info
+                };
+                let settled = NodeSched::Spin {
+                    since: through,
+                    info,
+                };
+                self.set_sched(i, settled);
             }
         }
     }
@@ -855,7 +916,7 @@ impl Machine {
     /// window ends at `cycle - 1` (this cycle's tick charges itself).
     fn make_live(&mut self, i: usize) {
         self.settle_through(i, self.cycle - 1);
-        self.sched[i] = NodeSched::Active;
+        self.set_sched(i, NodeSched::Active);
     }
 
     /// An external driver mutated node `i` at the current cycle
@@ -864,7 +925,7 @@ impl Machine {
     /// observes the change.
     fn external_touch(&mut self, i: usize) {
         self.settle_through(i, self.cycle);
-        self.sched[i] = NodeSched::Active;
+        self.set_sched(i, NodeSched::Active);
     }
 
     /// Classifies node `i`, mirroring `node_tick`'s branch order
@@ -1068,9 +1129,7 @@ impl Machine {
         } else {
             (0, 0)
         };
-        for w in self.woken.iter_mut() {
-            *w = false;
-        }
+        self.woken.clear();
         // 1. Order at most one address-bus transaction (or, on
         //    directory machines, up to one request per free home
         //    bank); the ordering point mutates the requester (and the
@@ -1086,17 +1145,19 @@ impl Machine {
             msgs.push(msg);
         }
         for msg in msgs.drain(..) {
-            self.woken[msg.destination()] = true;
+            self.woken.insert(msg.destination());
             self.handle_net(msg);
         }
         self.net_scratch = msgs;
-        // Promote everything that must run this cycle.
-        for i in 0..self.nodes.len() {
-            if self.woken[i] || self.node_due(i) {
-                self.make_live(i);
-                self.woken[i] = true;
-            }
+        // Promote everything that must run this cycle: the active set
+        // and every node whose calendar wake is due.
+        self.woken.union_with(&self.active);
+        self.wake_due_timers();
+        let woken = std::mem::take(&mut self.woken);
+        for i in woken.iter() {
+            self.make_live(i);
         }
+        self.woken = woken;
         // 3. Due snoops, processed at each involved node in node
         //    order (snoop handlers may record trace events and send
         //    network messages, so the stepped engine's order must be
@@ -1111,35 +1172,37 @@ impl Machine {
         //    this cycle is charged on the next settle. Uninvolved
         //    nodes are untouched by the event (see [`node_involved`]),
         //    so their cached class — and their settle anchor — stay
-        //    valid as-is.
+        //    valid as-is. A directed (directory) snoop can involve only
+        //    its targets, so only they are examined; a broadcast one
+        //    examines every node.
         while self.snoops.front().is_some_and(|ev| ev.due <= self.cycle) {
             let ev = self.snoops.pop_front().unwrap();
             let mut touch = std::mem::take(&mut self.snoop_touch);
             touch.clear();
-            touch.extend(self.nodes.iter().map(|n| node_involved(n, &ev)));
+            let involved = |&i: &NodeId| node_involved(&self.nodes[i], &ev);
+            match &ev.targets {
+                Some(targets) => touch.extend(targets.iter().filter(involved)),
+                None => touch.extend((0..self.nodes.len()).filter(involved)),
+            }
             // Settling first is order-safe: it touches only own-node
             // counters and draws no randomness, records no events.
-            for i in 0..self.nodes.len() {
-                if touch[i] && !self.woken[i] {
+            for &i in &touch {
+                if !self.woken.contains(i) {
                     self.settle_through(i, self.cycle - 1);
                 }
             }
             self.with_ctx(|nodes, ctx| {
-                for (node, &t) in nodes.iter_mut().zip(touch.iter()) {
-                    if t {
-                        snoop_one(node, ctx, &ev);
-                    }
+                for &i in &touch {
+                    snoop_one(&mut nodes[i], ctx, &ev);
                 }
             });
-            for i in 0..self.nodes.len() {
-                if touch[i] && !self.woken[i] {
-                    match self.classify(i, self.cycle - 1) {
-                        NodeSched::Active => {
-                            self.sched[i] = NodeSched::Active;
-                            self.woken[i] = true;
-                        }
-                        other => self.sched[i] = other,
+            for &i in &touch {
+                if !self.woken.contains(i) {
+                    let s = self.classify(i, self.cycle - 1);
+                    if matches!(s, NodeSched::Active) {
+                        self.woken.insert(i);
                     }
+                    self.set_sched(i, s);
                 }
             }
             self.snoop_touch = touch;
@@ -1147,21 +1210,18 @@ impl Machine {
         let woken = std::mem::take(&mut self.woken);
         let live = self.with_ctx(|nodes, ctx| {
             let mut live = 0u64;
-            for (node, &w) in nodes.iter_mut().zip(woken.iter()) {
-                if w {
-                    live += 1;
-                    tick_node(node, ctx);
-                }
+            for i in woken.iter() {
+                live += 1;
+                tick_node(&mut nodes[i], ctx);
             }
             live
         });
         self.engine_live_ticks += live;
-        self.woken = woken;
-        for i in 0..self.nodes.len() {
-            if self.woken[i] {
-                self.sched[i] = self.classify(i, self.cycle);
-            }
+        for i in woken.iter() {
+            let s = self.classify(i, self.cycle);
+            self.set_sched(i, s);
         }
+        self.woken = woken;
         if fault_traced {
             let bus_delta = self.bus.fault_injections() - bus_before;
             if bus_delta > 0 {
@@ -1457,7 +1517,7 @@ impl Machine {
         // The ordering point mutates the requester's state (writeback
         // retirement, self-supply cancellation, the owner ledger): the
         // event engine must run it this cycle.
-        self.woken[req.requester] = true;
+        self.woken.insert(req.requester);
         self.stats.bus.arbitration_wait_cycles += now.saturating_sub(req.enqueued_at);
         match req.kind {
             BusReqKind::WriteBack => {
@@ -1524,7 +1584,7 @@ impl Machine {
                     if let Some(o) = supplier {
                         // The refusal check advances the owner's
                         // logical clock either way.
-                        self.woken[o] = true;
+                        self.woken.insert(o);
                         if self.nack_at_order(o, &req) {
                             let deliver = now + self.cfg.latency.snoop;
                             self.net.send(
@@ -3521,6 +3581,43 @@ mod tests {
         for i in 0..64u64 {
             assert_eq!(m.final_word(Addr(0x1_0000 + i * 64)), 5, "line {i}");
         }
+    }
+
+    #[test]
+    fn stale_calendar_entry_never_wakes_a_reclassified_node() {
+        let mut m = machine_with(
+            Scheme::Base,
+            vec![Box::new(|_: &mut Asm| {}), Box::new(|_: &mut Asm| {})],
+        );
+        let idle = |timer| NodeSched::Idle {
+            since: 0,
+            charge: IdleCharge::DataStall,
+            timer,
+        };
+        m.set_sched(0, idle(Some(5)));
+        m.set_sched(1, idle(Some(7)));
+        assert!(!m.active.contains(0) && !m.active.contains(1));
+        // Re-classified: node 0's cycle-5 entry stays in the heap, stale.
+        m.set_sched(0, idle(Some(9)));
+        assert_eq!(m.calendar.len(), 3);
+        assert_eq!(
+            m.calendar_next(),
+            Some((7, 1, Timer::Idle)),
+            "stale top discarded"
+        );
+        m.cycle = 5;
+        m.wake_due_timers();
+        assert!(m.woken.is_empty(), "the stale cycle-5 entry woke node 0");
+        m.cycle = 7;
+        m.wake_due_timers();
+        assert_eq!(m.woken.iter().collect::<Vec<_>>(), vec![1]);
+        // Going live also retires a pending wake.
+        m.set_sched(0, NodeSched::Active);
+        assert!(m.active.contains(0));
+        assert_eq!(m.calendar_next(), None);
+        m.cycle = 9;
+        m.wake_due_timers();
+        assert_eq!(m.woken.iter().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

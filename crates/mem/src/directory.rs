@@ -39,8 +39,9 @@ use crate::network::Network;
 use crate::protocol::{self, DirOutcome};
 
 /// A fixed-capacity bit-set of node ids — the directory's sharer
-/// vector. Sized once for the machine's processor count; insert,
-/// remove and membership are O(1), iteration is O(words).
+/// vector, its busy-bank set, and the event engine's active and woken
+/// sets. Sized once for the machine's processor count; insert, remove
+/// and membership are O(1), iteration is O(words + members).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NodeSet {
     words: Vec<u64>,
@@ -93,15 +94,35 @@ impl NodeSet {
 
     /// Members in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64).filter(move |b| word & (1 << b) != 0).map(move |b| w * 64 + b)
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| word_bits(w, word))
     }
 
     /// Removes all members.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
+
+    /// Adds every member of `other` (a set of the same capacity).
+    pub fn union_with(&mut self, other: &NodeSet) {
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+}
+
+/// The set bits of word `w`, as ascending ids: one `trailing_zeros`
+/// per member, none per clear bit.
+fn word_bits(w: usize, mut word: u64) -> impl Iterator<Item = NodeId> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            w * 64 + b
+        })
+    })
 }
 
 /// One line's directory entry: the registered owner (the cache
@@ -158,6 +179,9 @@ pub struct Directory {
     entries: HashMap<LineAddr, DirEntry>,
     inbound: Network<BusRequest>,
     banks: Vec<Bank>,
+    /// Banks with a non-empty FIFO, so ordering and wake searches
+    /// visit only banks with work, still in bank-index order.
+    busy: NodeSet,
     occupancy: u64,
     req_latency: u64,
     /// Requests sitting in bank FIFOs (arrived, not yet ordered).
@@ -171,11 +195,18 @@ impl Directory {
     /// (clamped to at least one), per-bank ordering `occupancy`, and a
     /// `req_latency`-cycle request flight to the home.
     pub fn new(nodes: usize, banks: usize, occupancy: u64, req_latency: u64) -> Self {
+        let banks = banks.max(1);
         Directory {
             nodes,
             entries: HashMap::new(),
             inbound: Network::new(),
-            banks: (0..banks.max(1)).map(|_| Bank { queue: VecDeque::new(), busy_until: 0 }).collect(),
+            banks: (0..banks)
+                .map(|_| Bank {
+                    queue: VecDeque::new(),
+                    busy_until: 0,
+                })
+                .collect(),
+            busy: NodeSet::new(banks),
             occupancy,
             req_latency,
             queued: 0,
@@ -210,16 +241,26 @@ impl Directory {
     pub fn tick_into(&mut self, now: Cycle, out: &mut Vec<BusRequest>) {
         let nbanks = self.banks.len();
         while let Some(req) = self.inbound.pop_ready(now) {
-            self.banks[req.home_bank(nbanks)].queue.push_back(req);
+            let b = req.home_bank(nbanks);
+            self.banks[b].queue.push_back(req);
+            self.busy.insert(b);
             self.queued += 1;
         }
-        for bank in &mut self.banks {
-            if bank.busy_until <= now {
-                if let Some(req) = bank.queue.pop_front() {
-                    bank.busy_until = now + self.occupancy;
-                    self.queued -= 1;
-                    self.ordered += 1;
-                    out.push(req);
+        // Walk a copy of each word so drained banks can leave the set
+        // mid-walk.
+        for w in 0..self.busy.words.len() {
+            for b in word_bits(w, self.busy.words[w]) {
+                let bank = &mut self.banks[b];
+                if bank.busy_until <= now {
+                    if let Some(req) = bank.queue.pop_front() {
+                        bank.busy_until = now + self.occupancy;
+                        self.queued -= 1;
+                        self.ordered += 1;
+                        out.push(req);
+                        if bank.queue.is_empty() {
+                            self.busy.remove(b);
+                        }
+                    }
                 }
             }
         }
@@ -349,10 +390,8 @@ impl Directory {
         if let Some(c) = self.inbound.next_ready() {
             consider(c.max(now + 1));
         }
-        for bank in &self.banks {
-            if !bank.queue.is_empty() {
-                consider(bank.busy_until.max(now + 1));
-            }
+        for b in self.busy.iter() {
+            consider(self.banks[b].busy_until.max(now + 1));
         }
         wake
     }
@@ -395,6 +434,76 @@ mod tests {
         assert!(!s.any_other(199), "only 199 left");
         s.clear();
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn node_set_iter_crosses_word_boundaries_in_order() {
+        let mut s = NodeSet::new(256);
+        // Inserted out of order; words 2 and 3 (ids 128..256) hold
+        // only 159 and 255.
+        for id in [255, 64, 0, 159, 127, 63] {
+            s.insert(id);
+        }
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 127, 159, 255]);
+        s.remove(64);
+        s.remove(127);
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            vec![0, 63, 159, 255],
+            "emptied word 1 is skipped"
+        );
+        let mut u = NodeSet::new(256);
+        u.insert(100);
+        u.union_with(&s);
+        assert_eq!(u.iter().collect::<Vec<_>>(), vec![0, 63, 100, 159, 255]);
+        assert_eq!(NodeSet::new(160).iter().count(), 0);
+    }
+
+    #[test]
+    fn busy_banks_order_in_bank_index_order() {
+        // One request per bank, sent to the highest bank first: the
+        // busy set must still hand them out in bank-index order.
+        let mut dir = Directory::new(8, 8, 4, 1);
+        for line in (0..8u64).rev() {
+            dir.send(0, req(line as NodeId, line, BusReqKind::GetS));
+        }
+        let order: Vec<u64> = ordered_at(&mut dir, 1).iter().map(|r| r.line.0).collect();
+        assert_eq!(order, (0..8).collect::<Vec<_>>());
+        assert!(dir.busy.is_empty(), "every FIFO drained");
+    }
+
+    #[test]
+    fn drained_bank_no_longer_pins_the_next_order_cycle() {
+        let mut dir = Directory::new(4, 2, 10, 0);
+        dir.send(0, req(0, 0, BusReqKind::GetS)); // bank 0
+        dir.send(0, req(1, 0, BusReqKind::GetS)); // bank 0, queued behind
+        dir.send(0, req(2, 1, BusReqKind::GetS)); // bank 1
+        assert_eq!(ordered_at(&mut dir, 0).len(), 2);
+        // Bank 1 drained (busy until 10, nothing queued); bank 0 still
+        // holds node 1's request and pins the wake to its expiry.
+        assert_eq!(dir.busy.iter().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(dir.next_order_cycle(0), Some(10));
+        assert_eq!(ordered_at(&mut dir, 10).len(), 1);
+        assert_eq!(dir.next_order_cycle(10), None, "drained banks never wake");
+        // A new arrival at a drained bank re-enters the set.
+        dir.send(12, req(3, 1, BusReqKind::GetS));
+        assert_eq!(dir.next_order_cycle(11), Some(12));
+        assert_eq!(ordered_at(&mut dir, 12).len(), 1);
+        assert!(dir.busy.is_empty());
+    }
+
+    #[test]
+    fn one_busy_bank_among_256() {
+        let mut dir = Directory::new(256, 256, 3, 2);
+        dir.send(0, req(7, 200, BusReqKind::GetX));
+        dir.send(0, req(8, 200 + 256, BusReqKind::GetX)); // same home bank
+        assert!(ordered_at(&mut dir, 1).is_empty());
+        assert_eq!(ordered_at(&mut dir, 2).len(), 1);
+        assert_eq!(dir.busy.iter().collect::<Vec<_>>(), vec![200]);
+        assert_eq!(dir.next_order_cycle(2), Some(5));
+        assert!(ordered_at(&mut dir, 4).is_empty(), "bank 200 busy until 5");
+        assert_eq!(ordered_at(&mut dir, 5)[0].requester, 8);
+        assert_eq!(dir.next_order_cycle(5), None);
     }
 
     #[test]

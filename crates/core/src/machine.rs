@@ -23,7 +23,8 @@
 //! byte-identical statistics and traces (see `DESIGN.md` §12).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::cell::Cell;
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use tlr_cpu::{AccessKind, Core, CoreStep, MemAccess, Op, Program};
@@ -33,7 +34,7 @@ use tlr_mem::mshr::{Intervention, MshrEntry};
 use tlr_mem::msg::{BusReqKind, BusRequest, DataGrant, NetMsg};
 use tlr_mem::protocol;
 use tlr_mem::timestamp::{Prio, Timestamp};
-use tlr_mem::{Bus, Directory, MemorySystem, Network, NodeSet};
+use tlr_mem::{AddrMap, AddrSet, Bus, Directory, MemorySystem, Network, NodeSet};
 use tlr_sim::config::{Engine, Interconnect, MachineConfig, UntimestampedPolicy};
 use tlr_sim::fault::FaultPlan;
 use tlr_sim::prof::{Gauges, Profiler, WakeSource};
@@ -77,11 +78,11 @@ struct Ctx<'a> {
     /// The protocol-owner ledger; kept in the context for policy
     /// extensions that must follow bus order when touching it.
     #[allow(dead_code)]
-    owner: &'a mut HashMap<LineAddr, NodeId>,
+    owner: &'a mut AddrMap<LineAddr, NodeId>,
     stats: &'a mut MachineStats,
     trace: &'a mut Trace,
     rng: &'a mut SimRng,
-    lock_addrs: &'a HashSet<Addr>,
+    lock_addrs: &'a AddrSet<Addr>,
     /// The conflict-resolution policy every decision point consults
     /// (stateless; resolved once from `cfg.policy`).
     policy: &'static dyn ConflictPolicy,
@@ -148,6 +149,9 @@ enum IdleCharge {
     SbFull,
     /// `commit_wait_cycles` (committing, write set not yet writable).
     CommitWait,
+    /// `busy_cycles`, and each skipped tick counts the core's compute
+    /// delay down by one: a delaying core ticks to no other effect.
+    Busy,
 }
 
 /// The event engine's per-node schedule state.
@@ -156,9 +160,9 @@ enum IdleCharge {
 /// instruction, drain a buffer, issue or retry a request, draw fault
 /// randomness) and must therefore run every cycle, exactly as under
 /// the cycle-stepped engine. It is `Idle` when its tick is provably a
-/// pure stall-accounting no-op until some external event (a fill, a
-/// snoop, a timer) arrives; such cycles are skipped and their charge
-/// settled lazily. Misclassifying toward `Active` is always safe — a
+/// pure stall-accounting no-op (or a compute delay counting down)
+/// until some external event (a fill, a snoop, a timer) arrives; such
+/// cycles are skipped and their charge settled lazily. Misclassifying toward `Active` is always safe — a
 /// live tick replicates the stepped engine bit for bit — so every
 /// uncertain case classifies as `Active`.
 #[derive(Debug, Clone, Copy)]
@@ -269,11 +273,11 @@ pub struct Machine {
     /// In the real broadcast system every snooper derives this from
     /// the observed request stream; centralizing it changes no
     /// ordering or timing (see `DESIGN.md`).
-    owner: HashMap<LineAddr, NodeId>,
+    owner: AddrMap<LineAddr, NodeId>,
     stats: MachineStats,
     trace: Trace,
     rng: SimRng,
-    lock_addrs: HashSet<Addr>,
+    lock_addrs: AddrSet<Addr>,
     /// The conflict-resolution policy (stateless, shared static),
     /// resolved from `cfg.policy` at construction.
     policy: &'static dyn ConflictPolicy,
@@ -301,6 +305,12 @@ pub struct Machine {
     calendar: BinaryHeap<Reverse<(Cycle, NodeId, Timer)>>,
     /// Scratch: which nodes run in the current event step.
     woken: NodeSet,
+    /// No core below this id is still running. A core's `Done` state
+    /// is terminal (checkpoint restores only run on in-transaction
+    /// cores, which cannot be done), so [`Machine::is_quiesced`] only
+    /// ever moves this forward and answers from it while some core
+    /// runs.
+    first_running: Cell<usize>,
     /// Scratch: this cycle's network deliveries (capacity reuse).
     net_scratch: Vec<NetMsg>,
     /// Scratch: this cycle's directory-ordered requests (capacity
@@ -399,11 +409,11 @@ impl Machine {
             dir,
             net,
             memsys: MemorySystem::new(cfg.l2_sets, cfg.l2_ways, cfg.latency.l2, cfg.latency.memory),
-            owner: HashMap::new(),
+            owner: AddrMap::default(),
             stats,
             trace: Trace::new(),
             rng,
-            lock_addrs,
+            lock_addrs: lock_addrs.into_iter().collect(),
             policy: policy_for(cfg.policy),
             nodes,
             cycle: 0,
@@ -414,6 +424,7 @@ impl Machine {
             calendar: BinaryHeap::new(),
             snoops: VecDeque::new(),
             woken: NodeSet::new(cfg.num_procs),
+            first_running: Cell::new(0),
             net_scratch: Vec::new(),
             dir_scratch: Vec::new(),
             burst_scratch: Vec::new(),
@@ -502,6 +513,14 @@ impl Machine {
     /// Whether every thread has finished and the memory system is
     /// idle.
     pub fn is_quiesced(&self) -> bool {
+        let mut i = self.first_running.get();
+        while self.nodes.get(i).is_some_and(|n| n.core.is_done()) {
+            i += 1;
+        }
+        self.first_running.set(i);
+        if i < self.nodes.len() {
+            return false;
+        }
         self.nodes.iter().all(|n| {
             n.core.is_done()
                 && n.sb.is_empty()
@@ -854,6 +873,10 @@ impl Machine {
                     IdleCharge::LockStall => ns.lock_stall_cycles += dt,
                     IdleCharge::SbFull => ns.store_buffer_full_cycles += dt,
                     IdleCharge::CommitWait => ns.commit_wait_cycles += dt,
+                    IdleCharge::Busy => {
+                        ns.busy_cycles += dt;
+                        self.nodes[i].core.skip_delay(dt);
+                    }
                 }
                 let settled = NodeSched::Idle {
                     since: through,
@@ -910,6 +933,18 @@ impl Machine {
                 self.set_sched(i, settled);
             }
         }
+    }
+
+    /// Marks node `i` to run this step, settling its skipped window
+    /// first. The ordering point and network delivery call this before
+    /// they touch the node: a settle replays skipped ticks against the
+    /// state the node's class was proved on, which a handler may
+    /// change (an abort's restore readies a delaying core).
+    fn wake_now(&mut self, i: usize) {
+        if !self.active.contains(i) {
+            self.settle_through(i, self.cycle - 1);
+        }
+        self.woken.insert(i);
     }
 
     /// Promotes node `i` to live for the current cycle: the skipped
@@ -971,19 +1006,21 @@ impl Machine {
                     .entries()
                     .iter()
                     .all(|e| node.line(e.line).is_some_and(|l| l.state.writable()));
-            if ready {
-            }
             return if ready { NodeSched::Active } else { idle(IdleCharge::CommitWait, None) };
         }
         if now < node.stall_until {
             return idle(IdleCharge::DataStall, Some(node.stall_until));
         }
         match node.wait {
-            None => match self.detect_spin(i) {
-                Some(info) => NodeSched::Spin { since: anchor, info },
-                None => {
-                    NodeSched::Active
-                }
+            // A compute delay: every tick but the last only counts it
+            // down, so the node sleeps until that last tick, which
+            // readies the core and runs live.
+            None => match node.core.delay_left() {
+                Some(left) if left > 1 => idle(IdleCharge::Busy, Some(anchor + left)),
+                _ => match self.detect_spin(i) {
+                    Some(info) => NodeSched::Spin { since: anchor, info },
+                    None => NodeSched::Active,
+                },
             },
             Some(Wait::Fill { is_lock, .. }) => idle(stall(is_lock), None),
             Some(Wait::StoreBufFull) => {
@@ -1145,19 +1182,22 @@ impl Machine {
             msgs.push(msg);
         }
         for msg in msgs.drain(..) {
-            self.woken.insert(msg.destination());
+            self.wake_now(msg.destination());
             self.handle_net(msg);
         }
         self.net_scratch = msgs;
         // Promote everything that must run this cycle: the active set
-        // and every node whose calendar wake is due.
-        self.woken.union_with(&self.active);
+        // and every node whose calendar wake is due. Active nodes have
+        // nothing to settle.
         self.wake_due_timers();
         let woken = std::mem::take(&mut self.woken);
         for i in woken.iter() {
-            self.make_live(i);
+            if !self.active.contains(i) {
+                self.make_live(i);
+            }
         }
         self.woken = woken;
+        self.woken.union_with(&self.active);
         // 3. Due snoops, processed at each involved node in node
         //    order (snoop handlers may record trace events and send
         //    network messages, so the stepped engine's order must be
@@ -1169,17 +1209,17 @@ impl Machine {
         //    against), then re-classifies: if the snoop made it
         //    runnable it joins this cycle's tick phase, otherwise it
         //    stays asleep anchored at `cycle - 1` so the tick it skips
-        //    this cycle is charged on the next settle. Uninvolved
-        //    nodes are untouched by the event (see [`node_involved`]),
-        //    so their cached class — and their settle anchor — stay
-        //    valid as-is. A directed (directory) snoop can involve only
-        //    its targets, so only they are examined; a broadcast one
+        //    this cycle is charged on the next settle. Untouched nodes
+        //    are unchanged by the event (see [`snoop_touches`]), so
+        //    their cached class — and their settle anchor — stay valid
+        //    as-is. A directed (directory) snoop can touch only its
+        //    targets, so only they are examined; a broadcast one
         //    examines every node.
         while self.snoops.front().is_some_and(|ev| ev.due <= self.cycle) {
             let ev = self.snoops.pop_front().unwrap();
             let mut touch = std::mem::take(&mut self.snoop_touch);
             touch.clear();
-            let involved = |&i: &NodeId| node_involved(&self.nodes[i], &ev);
+            let involved = |&i: &NodeId| snoop_touches(&self.nodes[i], &ev);
             match &ev.targets {
                 Some(targets) => touch.extend(targets.iter().filter(involved)),
                 None => touch.extend((0..self.nodes.len()).filter(involved)),
@@ -1252,7 +1292,8 @@ impl Machine {
         let (mut active, mut idle, mut spin) = (0usize, 0usize, 0usize);
         for i in 0..self.nodes.len() {
             match self.classify(i, self.cycle) {
-                NodeSched::Active => active += 1,
+                // A parked compute delay is still executing.
+                NodeSched::Active | NodeSched::Idle { charge: IdleCharge::Busy, .. } => active += 1,
                 NodeSched::Idle { .. } => idle += 1,
                 NodeSched::Spin { .. } => spin += 1,
             }
@@ -1517,7 +1558,7 @@ impl Machine {
         // The ordering point mutates the requester's state (writeback
         // retirement, self-supply cancellation, the owner ledger): the
         // event engine must run it this cycle.
-        self.woken.insert(req.requester);
+        self.wake_now(req.requester);
         self.stats.bus.arbitration_wait_cycles += now.saturating_sub(req.enqueued_at);
         match req.kind {
             BusReqKind::WriteBack => {
@@ -1584,7 +1625,7 @@ impl Machine {
                     if let Some(o) = supplier {
                         // The refusal check advances the owner's
                         // logical clock either way.
-                        self.woken.insert(o);
+                        self.wake_now(o);
                         if self.nack_at_order(o, &req) {
                             let deliver = now + self.cfg.latency.snoop;
                             self.net.send(
@@ -1802,6 +1843,29 @@ fn node_involved(node: &Node, ev: &SnoopEvent) -> bool {
         || !node.mshrs.is_empty()
         || !node.pending_wb.is_empty()
         || node.line(ev.req.line).is_some()
+}
+
+/// Whether a snooped transaction can change this node — the event
+/// engine's exact form of [`node_involved`], which the cycle-stepped
+/// oracle keeps, so the engine-equivalence wall checks this one
+/// against it. The caller restricts a directed snoop to its targets.
+///
+/// Walking [`snoop_one`] for a node that is neither the requester nor
+/// the supplier: branch 1a changes an MSHR only if the request is
+/// exclusive and the node's MSHR for the line is ordered and shared;
+/// branch 1b needs the supplier; branch 2 needs a resident copy;
+/// branch 3 needs a (non-cancelled) pending writeback for the line;
+/// branch 4 needs the supplier. Any other node falls through every
+/// branch without a state change, a stat, a trace event or a random
+/// draw.
+fn snoop_touches(node: &Node, ev: &SnoopEvent) -> bool {
+    let line = ev.req.line;
+    ev.req.requester == node.id
+        || ev.supplier == Some(node.id)
+        || node.line(line).is_some()
+        || node.pending_wb.iter().any(|p| p.line == line)
+        || (ev.req.kind.is_exclusive()
+            && node.mshrs.get(line).is_some_and(|m| m.ordered && !m.exclusive))
 }
 
 /// One cycle of a node: buffer drains, commit progress, core
@@ -2235,11 +2299,10 @@ fn revalidate_elided_locks(node: &mut Node, ctx: &mut Ctx) -> LockRecheck {
     }
     for &(addr, free) in &locks {
         let line = addr.line();
-        let l = node.line_mut(line).expect("checked resident above");
-        if l.data.word(addr) != free {
+        if node.line_mut(line).expect("checked resident above").data.word(addr) != free {
             return LockRecheck::Held;
         }
-        l.spec_read = true;
+        node.mark_spec(line, false);
     }
     if let Some(t) = node.txn.as_mut() {
         t.lock_recheck = false;
@@ -2646,6 +2709,9 @@ fn handle_fill(
         entry.spec_written = old.spec_written;
     }
     if node.txn.is_some() && node.wb.contains_line(line) {
+        if !entry.spec_accessed() {
+            node.spec_lines.push(line);
+        }
         entry.spec_written = true;
     }
     if install_line(node, ctx, entry).is_err() {
@@ -2703,12 +2769,12 @@ fn complete_access_after_fill(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, li
     let _ = is_lock;
     match acc.kind {
         AccessKind::Load { .. } | AccessKind::LoadLinked { .. } => {
-            let in_txn = node.txn.is_some();
-            let l = node.line_mut(line).expect("filled line resident");
-            if in_txn {
-                l.spec_read = true;
-            }
-            let v = l.data.word(acc.addr);
+            let l = if node.txn.is_some() {
+                node.mark_spec(line, false)
+            } else {
+                node.line_mut(line)
+            };
+            let v = l.expect("filled line resident").data.word(acc.addr);
             node.core.complete_load(v);
             if matches!(acc.kind, AccessKind::Load { .. }) {
                 node.rmw_pred.record_load(acc.pc, line);
@@ -3155,10 +3221,7 @@ fn handle_load(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, is_lock: bool) {
     }
     if node.line(line).is_some() {
         let hit_in_victim = !node.l1.contains(line);
-        let l = node.line_mut(line).unwrap();
-        if in_txn {
-            l.spec_read = true;
-        }
+        let l = if in_txn { node.mark_spec(line, false) } else { node.line_mut(line) }.unwrap();
         let state = l.state;
         let v = l.data.word(acc.addr);
         node.core.complete_load(v);
@@ -3198,6 +3261,7 @@ fn handle_load(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, is_lock: bool) {
         entry.acquired_at = ctx.now;
         if in_txn {
             entry.spec_read = true;
+            node.spec_lines.push(line);
         }
         let v = data.word(acc.addr);
         if install_line(node, ctx, entry).is_err() {
@@ -3271,14 +3335,8 @@ fn handle_store(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, val: u64, is_loc
             return;
         }
         node.rmw_pred.record_store(line);
-        let mut need_exclusive = true;
-        if let Some(l) = node.line_mut(line) {
-            l.spec_written = true;
-            if l.state.writable() {
-                need_exclusive = false;
-            }
-        }
-        if need_exclusive && !node.line(line).is_some_and(|l| l.state.writable()) {
+        let writable = node.mark_spec(line, true).is_some_and(|l| l.state.writable());
+        if !writable {
             if node.mshrs.get(line).is_none() && enforce_ts_order_before_miss(node, ctx, line) {
                 return;
             }
@@ -3342,7 +3400,7 @@ fn handle_sc(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, val: u64, is_lock: 
                     pc: acc.pc,
                     closed: false,
                 });
-                node.line_mut(line).expect("lock line resident").spec_read = true;
+                node.mark_spec(line, false).expect("lock line resident");
                 node.core.complete_sc(true);
                 ctx.stats.node_mut(node.id).sc_elided += 1;
                 charge_busy(node, ctx, is_lock);
@@ -3363,7 +3421,7 @@ fn handle_sc(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, val: u64, is_lock: 
                 },
                 ctx.now,
             ));
-            node.line_mut(line).expect("lock line resident").spec_read = true;
+            node.mark_spec(line, false).expect("lock line resident");
             node.core.complete_sc(true);
             let ns = ctx.stats.node_mut(node.id);
             ns.sc_elided += 1;
@@ -3387,13 +3445,8 @@ fn handle_sc(node: &mut Node, ctx: &mut Ctx, acc: MemAccess, val: u64, is_lock: 
             return;
         }
         node.rmw_pred.record_store(line);
-        let needs_issue = match node.line_mut(line) {
-            Some(l) => {
-                l.spec_written = true;
-                !l.state.writable() && node.mshrs.get(line).is_none()
-            }
-            None => node.mshrs.get(line).is_none(),
-        };
+        let writable = node.mark_spec(line, true).is_some_and(|l| l.state.writable());
+        let needs_issue = !writable && node.mshrs.get(line).is_none();
         if needs_issue {
             if enforce_ts_order_before_miss(node, ctx, line) {
                 return;

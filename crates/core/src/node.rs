@@ -178,6 +178,11 @@ pub struct Node {
     pub karma: u32,
     /// Cycle the core finished, if it has.
     pub done_at: Option<Cycle>,
+    /// Every line given a transactional access bit since the last
+    /// [`Node::clear_spec_bits`], so clearing walks the footprint
+    /// rather than the whole cache. May repeat a line, or name one
+    /// that has since left the hierarchy.
+    pub spec_lines: Vec<LineAddr>,
 }
 
 impl Node {
@@ -216,6 +221,7 @@ impl Node {
             restart_streak: 0,
             karma: 0,
             done_at: None,
+            spec_lines: Vec::new(),
         }
     }
 
@@ -242,11 +248,42 @@ impl Node {
         self.line(line).map_or(Moesi::Invalid, |l| l.state)
     }
 
+    /// Sets the transactional write (`written`) or read bit of a
+    /// resident line and records the line for
+    /// [`Node::clear_spec_bits`]. Looks the line up as
+    /// [`Node::line_mut`] does, so an L1 hit becomes most recently
+    /// used. `None` when the line is not resident.
+    pub fn mark_spec(&mut self, line: LineAddr, written: bool) -> Option<&mut CacheLine> {
+        let l = if self.l1.contains(line) {
+            self.l1.get_mut(line)
+        } else {
+            self.victim.peek_mut(line)
+        }?;
+        if !l.spec_accessed() {
+            self.spec_lines.push(line);
+        }
+        if written {
+            l.spec_written = true;
+        } else {
+            l.spec_read = true;
+        }
+        Some(l)
+    }
+
     /// Clears transactional access bits everywhere (transaction end —
-    /// the `end_defer` of Figure 5).
+    /// the `end_defer` of Figure 5). Visits only the recorded lines,
+    /// without touching LRU order.
     pub fn clear_spec_bits(&mut self) {
-        self.l1.clear_spec_bits();
-        self.victim.clear_spec_bits();
+        for line in self.spec_lines.drain(..) {
+            if let Some(l) = self.l1.peek_mut(line).or_else(|| self.victim.peek_mut(line)) {
+                l.clear_spec();
+            }
+        }
+        debug_assert!(
+            self.l1.iter().chain(self.victim.iter()).all(|l| !l.spec_accessed()),
+            "node {}: a transactional access bit was set without being recorded",
+            self.id
+        );
     }
 
     /// Whether repeated shared-block invalidations have escalated
@@ -313,15 +350,44 @@ mod tests {
     #[test]
     fn clear_spec_bits_spans_both_structures() {
         let mut n = mk_node();
-        let mut a = CacheLine::new(LineAddr(1), Moesi::Shared, LineData::zeroed());
-        a.spec_read = true;
-        n.l1.insert(a);
-        let mut b = CacheLine::new(LineAddr(2), Moesi::Modified, LineData::zeroed());
-        b.spec_written = true;
-        n.victim.insert(b);
+        n.l1.insert(CacheLine::new(LineAddr(1), Moesi::Shared, LineData::zeroed()));
+        n.victim.insert(CacheLine::new(LineAddr(2), Moesi::Modified, LineData::zeroed()));
+        assert!(n.mark_spec(LineAddr(1), false).is_some());
+        assert!(n.mark_spec(LineAddr(2), true).is_some());
+        assert!(n.mark_spec(LineAddr(2), false).is_some());
+        assert!(n.mark_spec(LineAddr(3), true).is_none(), "not resident");
+        assert_eq!(n.spec_lines, vec![LineAddr(1), LineAddr(2)], "recorded once each");
         n.clear_spec_bits();
         assert!(!n.line(LineAddr(1)).unwrap().spec_accessed());
         assert!(!n.line(LineAddr(2)).unwrap().spec_accessed());
+        assert!(n.spec_lines.is_empty());
+    }
+
+    #[test]
+    fn clearing_spec_bits_keeps_lru_order() {
+        let cfg = MachineConfig::small(Scheme::Tlr, 2);
+        let mut n = mk_node();
+        // Fill one set: line k * sets maps to set 0.
+        let sets = cfg.l1_sets as u64;
+        for k in 0..cfg.l1_ways as u64 {
+            n.l1.insert(CacheLine::new(LineAddr(k * sets), Moesi::Shared, LineData::zeroed()));
+        }
+        n.mark_spec(LineAddr(0), false);
+        let last = LineAddr((cfg.l1_ways as u64 - 1) * sets);
+        n.l1.get_mut(last);
+        n.clear_spec_bits();
+        assert!(n.l1.is_mru(last), "clearing reordered the set");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "without being recorded")]
+    fn unrecorded_spec_bit_is_caught() {
+        let mut n = mk_node();
+        let mut a = CacheLine::new(LineAddr(1), Moesi::Shared, LineData::zeroed());
+        a.spec_read = true;
+        n.l1.insert(a);
+        n.clear_spec_bits();
     }
 
     #[test]

@@ -192,6 +192,33 @@ impl Core {
         self.pc = pc;
     }
 
+    /// The delay cycles still to run, counting the next tick, while
+    /// the core is inside an [`Op::Delay`] or [`Op::RandDelay`];
+    /// `None` otherwise. The tick that brings this to zero readies the
+    /// core.
+    pub fn delay_left(&self) -> Option<u64> {
+        match self.state {
+            State::Delaying(left) => Some(left),
+            _ => None,
+        }
+    }
+
+    /// Applies `cycles` delay ticks without running them: each would
+    /// only have counted the delay down. The event engine parks a
+    /// delaying node and settles its skipped ticks through this.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the core is delaying with more than `cycles`
+    /// cycles left: the tick that ends the delay readies the core and
+    /// must run live.
+    pub fn skip_delay(&mut self, cycles: u64) {
+        match self.state {
+            State::Delaying(left) if cycles < left => self.state = State::Delaying(left - cycles),
+            s => panic!("skip_delay({cycles}) on a core in state {s:?}"),
+        }
+    }
+
     /// The line the link register currently monitors.
     pub fn link(&self) -> Option<tlr_mem::addr::LineAddr> {
         self.link
@@ -502,6 +529,54 @@ mod tests {
             }
         }
         assert_eq!(busy, 5);
+    }
+
+    #[test]
+    fn skip_delay_matches_ticking_through() {
+        let delayed = |n| {
+            let mut a = Asm::new("t");
+            a.delay(n);
+            a.done();
+            let mut core = Core::new(Arc::new(a.finish()), SimRng::new(1));
+            assert_eq!(core.delay_left(), None);
+            assert_eq!(core.tick(), CoreStep::Busy, "the delay op itself");
+            core
+        };
+        let mut ticked = delayed(9);
+        let mut skipped = delayed(9);
+        assert_eq!(skipped.delay_left(), Some(8));
+        for _ in 0..5 {
+            assert_eq!(ticked.tick(), CoreStep::Busy);
+        }
+        skipped.skip_delay(5);
+        assert_eq!(skipped.delay_left(), ticked.delay_left());
+        assert_eq!(skipped.delay_left(), Some(3));
+        skipped.skip_delay(2);
+        assert_eq!(skipped.delay_left(), Some(1));
+        assert_eq!(skipped.instructions, 1, "delay cycles retire no instructions");
+        assert_eq!(skipped.tick(), CoreStep::Busy, "the last delay tick runs live");
+        assert!(skipped.is_ready());
+        assert_eq!(skipped.tick(), CoreStep::Done);
+    }
+
+    #[test]
+    #[should_panic(expected = "skip_delay(3)")]
+    fn skip_delay_refuses_the_delays_last_tick() {
+        let mut a = Asm::new("t");
+        a.delay(4);
+        a.done();
+        let mut core = Core::new(Arc::new(a.finish()), SimRng::new(1));
+        core.tick();
+        core.skip_delay(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "skip_delay(1)")]
+    fn skip_delay_refuses_a_ready_core() {
+        let mut a = Asm::new("t");
+        a.done();
+        let mut core = Core::new(Arc::new(a.finish()), SimRng::new(1));
+        core.skip_delay(1);
     }
 
     #[test]

@@ -30,8 +30,11 @@ impl Cache {
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two() && sets > 0, "sets must be a power of two");
         assert!(ways > 0, "ways must be nonzero");
+        // Sets allocate on first fill: a short run touches few of the
+        // shared L2's 8192 sets, and preallocating every way of every
+        // set dominated machine construction.
         Cache {
-            sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
+            sets: (0..sets).map(|_| Vec::new()).collect(),
             ways,
             set_mask: sets as u64 - 1,
         }
@@ -44,6 +47,12 @@ impl Cache {
     /// Looks up a line without updating LRU order.
     pub fn peek(&self, line: LineAddr) -> Option<&CacheLine> {
         self.sets[self.set_index(line)].iter().find(|l| l.line == line)
+    }
+
+    /// Looks up a line mutably without updating LRU order.
+    pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut CacheLine> {
+        let set = self.set_index(line);
+        self.sets[set].iter_mut().find(|l| l.line == line)
     }
 
     /// Looks up a line, updating LRU order on a hit.
@@ -105,20 +114,6 @@ impl Cache {
     /// Iterates over all resident lines.
     pub fn iter(&self) -> impl Iterator<Item = &CacheLine> {
         self.sets.iter().flatten()
-    }
-
-    /// Iterates mutably over all resident lines.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut CacheLine> {
-        self.sets.iter_mut().flatten()
-    }
-
-    /// Clears the transactional access bits on every line (the
-    /// `end_defer` message of Figure 5 "may clear the access bits in
-    /// the local cache hierarchy").
-    pub fn clear_spec_bits(&mut self) {
-        for l in self.iter_mut() {
-            l.clear_spec();
-        }
     }
 
     /// Number of resident lines.
@@ -206,16 +201,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_spec_bits_clears_everything() {
-        let mut c = Cache::new(4, 2);
-        for l in 0..8u64 {
-            let mut e = mk(l, Moesi::Shared);
-            e.spec_read = l % 2 == 0;
-            e.spec_written = l % 3 == 0;
-            c.insert(e);
-        }
-        c.clear_spec_bits();
-        assert!(c.iter().all(|l| !l.spec_accessed()));
+    fn peek_mut_leaves_lru_order_alone() {
+        let mut c = Cache::new(1, 2);
+        c.insert(mk(1, Moesi::Shared));
+        c.insert(mk(2, Moesi::Shared));
+        c.peek_mut(LineAddr(1)).unwrap().spec_read = true;
+        assert!(c.is_mru(LineAddr(2)), "peek_mut reordered the set");
+        assert!(c.peek(LineAddr(1)).unwrap().spec_read);
+        c.get_mut(LineAddr(1));
+        assert!(c.is_mru(LineAddr(1)));
     }
 
     #[test]

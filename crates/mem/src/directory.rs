@@ -26,7 +26,6 @@
 //! direct a spurious (no-op) invalidation, but never lets two owners
 //! coexist.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use tlr_sim::events::Schedulable;
@@ -34,6 +33,7 @@ use tlr_sim::fault::NetFault;
 use tlr_sim::{Cycle, NodeId};
 
 use crate::addr::LineAddr;
+use crate::hash::AddrMap;
 use crate::msg::BusRequest;
 use crate::network::Network;
 use crate::protocol::{self, DirOutcome};
@@ -176,7 +176,7 @@ struct Bank {
 #[derive(Debug, Clone)]
 pub struct Directory {
     nodes: usize,
-    entries: HashMap<LineAddr, DirEntry>,
+    entries: AddrMap<LineAddr, DirEntry>,
     inbound: Network<BusRequest>,
     banks: Vec<Bank>,
     /// Banks with a non-empty FIFO, so ordering and wake searches
@@ -198,7 +198,7 @@ impl Directory {
         let banks = banks.max(1);
         Directory {
             nodes,
-            entries: HashMap::new(),
+            entries: AddrMap::default(),
             inbound: Network::new(),
             banks: (0..banks)
                 .map(|_| Bank {

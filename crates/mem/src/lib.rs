@@ -21,6 +21,7 @@
 //!   alternative ordering fabric to the bus,
 //! * [`network`] — the point-to-point pipelined data network,
 //! * [`memsys`] — the shared L2 and backing memory,
+//! * [`hash`] — the multiplicative hasher of the address-keyed maps,
 //! * [`timestamp`] — TLR's globally unique timestamps (§2.1.2),
 //!   including fixed-width rollover comparison.
 //!
@@ -32,6 +33,7 @@ pub mod addr;
 pub mod bus;
 pub mod cache;
 pub mod directory;
+pub mod hash;
 pub mod line;
 pub mod memsys;
 pub mod mshr;
@@ -47,6 +49,7 @@ pub use addr::{Addr, LineAddr, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
 pub use bus::Bus;
 pub use cache::Cache;
 pub use directory::{DirEntry, Directory, NodeSet, OrderDecision};
+pub use hash::{AddrMap, AddrSet};
 pub use line::{CacheLine, LineData, Moesi};
 pub use memsys::MemorySystem;
 pub use mshr::{Intervention, MshrEntry, MshrFile, RetryTimers};

@@ -7,20 +7,19 @@
 //! dirty L2 evictions spill to backing memory. Backing memory is a
 //! sparse map so arbitrarily laid-out workload images are cheap.
 
-use std::collections::HashMap;
-
 use tlr_sim::events::Schedulable;
 use tlr_sim::Cycle;
 
 use crate::addr::{Addr, LineAddr};
 use crate::cache::Cache;
+use crate::hash::AddrMap;
 use crate::line::{CacheLine, LineData, Moesi};
 
 /// The shared L2 plus backing memory.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     l2: Cache,
-    backing: HashMap<LineAddr, LineData>,
+    backing: AddrMap<LineAddr, LineData>,
     l2_latency: u64,
     mem_latency: u64,
 }
@@ -40,7 +39,7 @@ impl MemorySystem {
     /// Creates a memory system with an L2 of `l2_sets` x `l2_ways`
     /// lines and the given access latencies.
     pub fn new(l2_sets: usize, l2_ways: usize, l2_latency: u64, mem_latency: u64) -> Self {
-        MemorySystem { l2: Cache::new(l2_sets, l2_ways), backing: HashMap::new(), l2_latency, mem_latency }
+        MemorySystem { l2: Cache::new(l2_sets, l2_ways), backing: AddrMap::default(), l2_latency, mem_latency }
     }
 
     /// Writes one word of the initial memory image (used by workloads
